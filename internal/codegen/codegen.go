@@ -7,9 +7,10 @@
 // kernel module. This port emits Go via text/template and validates the
 // result with go/parser — the compile step's semantic twin in an offline,
 // cgo-free environment. The runtime installs an equivalent in-memory
-// quant.Program (same integer parameters, same arithmetic), so generated
-// source and executed snapshot agree by construction; tests cross-check the
-// two on random inputs by interpreting the generated AST.
+// quant.Program (same integer parameters; its constant divisions are lowered
+// to multiply-high, as a C compiler lowers the module's literal divisors), so
+// generated source and executed snapshot agree bit for bit; tests cross-check
+// the two on random architectures and inputs by executing the generated AST.
 package codegen
 
 import (
@@ -144,9 +145,12 @@ func Generate(p *quant.Program, name string) (string, error) {
 		}
 	}
 
-	// Chain of calls: buf0/buf1 ping-pong, final layer writes output.
-	calls = append(calls, fmt.Sprintf("var buf0, buf1 [%d]int64", maxW))
-	calls = append(calls, "_ = buf1")
+	// Chain of calls: buf0/buf1 ping-pong, final layer writes output. A
+	// single-layer module needs no buffers (an unused local does not compile).
+	if len(p.Layers) > 1 {
+		calls = append(calls, fmt.Sprintf("var buf0, buf1 [%d]int64", maxW))
+		calls = append(calls, "_ = buf1")
+	}
 	cur := "input"
 	for li, l := range p.Layers {
 		dst := "buf0[:]"

@@ -44,24 +44,32 @@ func TestGenerateProducesValidGo(t *testing.T) {
 func TestGeneratedModuleTypeChecks(t *testing.T) {
 	// Compile-analog: the generated module plus the runtime support source
 	// must form a type-correct package, like a .ko linking against the
-	// LiteFlow core module's exported symbols.
-	_, p := auroraProgram(t)
-	src, err := Generate(p, "aurora")
-	if err != nil {
-		t.Fatal(err)
+	// LiteFlow core module's exported symbols — for the Aurora program and
+	// for random architectures, single-layer ones included.
+	_, aurora := auroraProgram(t)
+	progs := []*quant.Program{aurora}
+	r := rand.New(rand.NewSource(9))
+	for len(progs) < 20 {
+		progs = append(progs, randomProgram(r))
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for name, s := range map[string]string{"snapshot.go": src, "runtime.go": RuntimeSource()} {
-		f, err := parser.ParseFile(fset, name, s, 0)
+	for pi, p := range progs {
+		src, err := Generate(p, "aurora")
 		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
+			t.Fatal(err)
 		}
-		files = append(files, f)
-	}
-	conf := types.Config{Importer: importer.Default()}
-	if _, err := conf.Check("snapshot", fset, files, nil); err != nil {
-		t.Fatalf("generated module fails type check: %v", err)
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for name, s := range map[string]string{"snapshot.go": src, "runtime.go": RuntimeSource()} {
+			f, err := parser.ParseFile(fset, name, s, 0)
+			if err != nil {
+				t.Fatalf("program %d: parse %s: %v", pi, name, err)
+			}
+			files = append(files, f)
+		}
+		conf := types.Config{Importer: importer.Default()}
+		if _, err := conf.Check("snapshot", fset, files, nil); err != nil {
+			t.Fatalf("program %d (%d layers): generated module fails type check: %v", pi, len(p.Layers), err)
+		}
 	}
 }
 
@@ -89,157 +97,249 @@ func TestValidateCatchesSyntaxErrors(t *testing.T) {
 	}
 }
 
-// evalExpr evaluates the restricted expression language emitted by rowExpr:
-// integer literals, input[i] indexing, +, *, unary minus, and actv_<k>(...)
-// calls resolved through the quantized program's layers.
-func evalExpr(t *testing.T, e ast.Expr, input []int64, p *quant.Program) int64 {
-	t.Helper()
-	switch v := e.(type) {
-	case *ast.BasicLit:
-		n, err := strconv.ParseInt(v.Value, 10, 64)
-		if err != nil {
-			t.Fatalf("bad literal %q: %v", v.Value, err)
-		}
-		return n
-	case *ast.ParenExpr:
-		return evalExpr(t, v.X, input, p)
-	case *ast.UnaryExpr:
-		x := evalExpr(t, v.X, input, p)
-		if v.Op.String() == "-" {
-			return -x
-		}
-		t.Fatalf("unsupported unary op %s", v.Op)
-	case *ast.IndexExpr:
-		idx := evalExpr(t, v.Index, input, p)
-		return input[idx]
-	case *ast.BinaryExpr:
-		x := evalExpr(t, v.X, input, p)
-		y := evalExpr(t, v.Y, input, p)
-		switch v.Op.String() {
-		case "+":
-			return x + y
-		case "*":
-			return x * y
-		}
-		t.Fatalf("unsupported binary op %s", v.Op)
-	case *ast.CallExpr:
-		name := v.Fun.(*ast.Ident).Name
-		if !strings.HasPrefix(name, "actv_") {
-			t.Fatalf("unsupported call %s", name)
-		}
-		li, err := strconv.Atoi(strings.TrimPrefix(name, "actv_"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := evalExpr(t, v.Args[0], input, p)
-		return applyActivation(p.Layers[li], acc)
-	}
-	t.Fatalf("unsupported expr %T", e)
-	return 0
+// interp executes the small Go subset a generated module is written in —
+// integer arithmetic (/ and % included), comparisons, if/return, :=, array
+// and slice indexing, const/var declarations and calls between the module's
+// own functions — so the generated source itself, with its inlined weights,
+// LUTs and literal divisors, serves as an oracle for quant.Program.
+type interp struct {
+	t     *testing.T
+	funcs map[string]*ast.FuncDecl
+	luts  map[string][]int64
 }
 
-// applyActivation reimplements the generated actv_<k> helpers using the
-// layer's exported table/scale data, so the test checks the *inlined
-// parameters* of the generated source independently.
-func applyActivation(l *quant.Layer, acc int64) int64 {
-	rescale := func(v, from, to int64) int64 {
-		if from == to {
+// value is an int64 (comparisons yield 0 or 1) or, when s is non-nil, a
+// slice sharing its backing array like a Go slice.
+type value struct {
+	n int64
+	s []int64
+}
+
+func newInterp(t *testing.T, file *ast.File) *interp {
+	in := &interp{t: t, funcs: map[string]*ast.FuncDecl{}, luts: map[string][]int64{}}
+	for _, d := range file.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			in.funcs[d.Name.Name] = d
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				vs := spec.(*ast.ValueSpec)
+				lit := vs.Values[0].(*ast.CompositeLit)
+				tbl := make([]int64, len(lit.Elts))
+				for i, e := range lit.Elts {
+					tbl[i] = in.eval(e, nil).n
+				}
+				in.luts[vs.Names[0].Name] = tbl
+			}
+		}
+	}
+	return in
+}
+
+// call runs the named module function on args and returns its result.
+func (in *interp) call(name string, args []value) value {
+	fd, ok := in.funcs[name]
+	if !ok {
+		in.t.Fatalf("call to undefined function %s", name)
+	}
+	env := map[string]value{}
+	k := 0
+	for _, field := range fd.Type.Params.List {
+		for _, id := range field.Names {
+			env[id.Name] = args[k]
+			k++
+		}
+	}
+	v, _ := in.exec(fd.Body.List, env)
+	return v
+}
+
+func (in *interp) exec(stmts []ast.Stmt, env map[string]value) (value, bool) {
+	for _, st := range stmts {
+		switch st := st.(type) {
+		case *ast.ReturnStmt:
+			if len(st.Results) == 0 {
+				return value{}, true
+			}
+			return in.eval(st.Results[0], env), true
+		case *ast.IfStmt:
+			if in.eval(st.Cond, env).n != 0 {
+				if v, ret := in.exec(st.Body.List, env); ret {
+					return v, true
+				}
+			}
+		case *ast.ExprStmt:
+			in.eval(st.X, env)
+		case *ast.AssignStmt:
+			v := in.eval(st.Rhs[0], env)
+			switch lhs := st.Lhs[0].(type) {
+			case *ast.Ident:
+				env[lhs.Name] = v
+			case *ast.IndexExpr:
+				in.eval(lhs.X, env).s[in.eval(lhs.Index, env).n] = v.n
+			default:
+				in.t.Fatalf("unsupported assignment to %T", lhs)
+			}
+		case *ast.DeclStmt:
+			for _, spec := range st.Decl.(*ast.GenDecl).Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, id := range vs.Names {
+					if len(vs.Values) > 0 {
+						env[id.Name] = in.eval(vs.Values[i], env)
+					} else {
+						n := in.eval(vs.Type.(*ast.ArrayType).Len, env).n
+						env[id.Name] = value{s: make([]int64, n)}
+					}
+				}
+			}
+		default:
+			in.t.Fatalf("unsupported statement %T", st)
+		}
+	}
+	return value{}, false
+}
+
+func (in *interp) eval(e ast.Expr, env map[string]value) value {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		n, err := strconv.ParseInt(e.Value, 10, 64)
+		if err != nil {
+			in.t.Fatalf("bad literal %q: %v", e.Value, err)
+		}
+		return value{n: n}
+	case *ast.Ident:
+		if v, ok := env[e.Name]; ok {
 			return v
 		}
-		n := v * to
-		if n >= 0 {
-			return (n + from/2) / from
+		if tbl, ok := in.luts[e.Name]; ok {
+			return value{s: tbl}
 		}
-		return (n - from/2) / from
+		in.t.Fatalf("undefined identifier %s", e.Name)
+	case *ast.ParenExpr:
+		return in.eval(e.X, env)
+	case *ast.UnaryExpr:
+		if e.Op == token.SUB {
+			return value{n: -in.eval(e.X, env).n}
+		}
+	case *ast.IndexExpr:
+		return value{n: in.eval(e.X, env).s[in.eval(e.Index, env).n]}
+	case *ast.SliceExpr:
+		s := in.eval(e.X, env).s
+		lo, hi := int64(0), int64(len(s))
+		if e.Low != nil {
+			lo = in.eval(e.Low, env).n
+		}
+		if e.High != nil {
+			hi = in.eval(e.High, env).n
+		}
+		return value{s: s[lo:hi]}
+	case *ast.BinaryExpr:
+		x, y := in.eval(e.X, env).n, in.eval(e.Y, env).n
+		b := func(c bool) value {
+			if c {
+				return value{n: 1}
+			}
+			return value{}
+		}
+		switch e.Op {
+		case token.ADD:
+			return value{n: x + y}
+		case token.SUB:
+			return value{n: x - y}
+		case token.MUL:
+			return value{n: x * y}
+		case token.QUO:
+			return value{n: x / y}
+		case token.REM:
+			return value{n: x % y}
+		case token.LSS:
+			return b(x < y)
+		case token.LEQ:
+			return b(x <= y)
+		case token.GEQ:
+			return b(x >= y)
+		case token.EQL:
+			return b(x == y)
+		}
+	case *ast.CallExpr:
+		name := e.Fun.(*ast.Ident).Name
+		args := make([]value, len(e.Args))
+		for i, a := range e.Args {
+			args[i] = in.eval(a, env)
+		}
+		if name == "int64" {
+			return args[0]
+		}
+		return in.call(name, args)
 	}
-	switch l.Act {
-	case nn.Tanh, nn.Sigmoid:
-		tbl, lo, hi := l.TableData()
-		if acc <= lo {
-			return tbl[0]
-		}
-		if acc >= hi {
-			return tbl[len(tbl)-1]
-		}
-		span := hi - lo
-		num := (acc - lo) * int64(len(tbl)-1)
-		idx := num / span
-		rem := num % span
-		return tbl[idx] + (tbl[idx+1]-tbl[idx])*rem/span
-	case nn.ReLU:
-		if acc < 0 {
-			return 0
-		}
-		return rescale(acc, l.AccScale(), l.OutScale())
-	default:
-		return rescale(acc, l.AccScale(), l.OutScale())
-	}
+	in.t.Fatalf("unsupported expression %T", e)
+	return value{}
 }
 
-// TestGeneratedSourceMatchesProgram interprets the generated per-layer
-// assignments and checks that, chained together, they reproduce the
-// in-memory Program's inference exactly on random inputs. This is the
-// "generated module computes what the snapshot computes" guarantee.
+// randomProgram quantizes a random network — widths 1–13, so layers of
+// width 1 and widths that are not multiples of 4 occur, any of the four
+// activations per layer — under scales and table sizes that are not powers
+// of two.
+func randomProgram(r *rand.Rand) *quant.Program {
+	depth := 1 + r.Intn(3)
+	sizes := make([]int, depth+1)
+	for i := range sizes {
+		sizes[i] = 1 + r.Intn(13)
+	}
+	acts := make([]nn.Activation, depth)
+	for i := range acts {
+		acts[i] = nn.Activation(r.Intn(4))
+	}
+	cfg := quant.Config{
+		InputScale:  1000 + r.Int63n(4000),
+		WeightScale: 1000 + r.Int63n(4000),
+		ActScale:    1000 + r.Int63n(4000),
+		OutputScale: 100 + r.Int63n(10000),
+		TableSize:   100 + r.Intn(5000),
+		TableRange:  2 + 10*r.Float64(),
+	}
+	return quant.Quantize(nn.New(sizes, acts, r.Int63()), cfg)
+}
+
+// TestGeneratedSourceMatchesProgram executes the generated module's
+// Infer_<name> entry point and checks that it reproduces the in-memory
+// Program's inference exactly on random inputs, for the Aurora program and
+// for random architectures. This is the "generated module computes what the
+// snapshot computes" guarantee; the module spells out every division by its
+// literal divisor, so it also checks the Program's division-free arithmetic.
 func TestGeneratedSourceMatchesProgram(t *testing.T) {
-	_, p := auroraProgram(t)
-	src, err := Generate(p, "aurora")
-	if err != nil {
-		t.Fatal(err)
+	_, aurora := auroraProgram(t)
+	progs := []*quant.Program{aurora}
+	r := rand.New(rand.NewSource(4))
+	for len(progs) < 60 {
+		progs = append(progs, randomProgram(r))
 	}
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "snapshot.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Collect the assignment expressions of each fc_<k>_comp function.
-	layerExprs := make(map[int][]ast.Expr)
-	for _, d := range file.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || !strings.HasPrefix(fd.Name.Name, "fc_") {
-			continue
-		}
-		parts := strings.Split(fd.Name.Name, "_")
-		li, err := strconv.Atoi(parts[1])
+	for pi, p := range progs {
+		src, err := Generate(p, "snap")
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, stmt := range fd.Body.List {
-			as, ok := stmt.(*ast.AssignStmt)
-			if !ok {
-				continue
+		file, err := parser.ParseFile(token.NewFileSet(), "snapshot.go", src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := newInterp(t, file)
+		for trial := 0; trial < 25; trial++ {
+			x := make([]float64, p.InputSize())
+			for i := range x {
+				x[i] = r.Float64()*4 - 2
 			}
-			layerExprs[li] = append(layerExprs[li], as.Rhs[0])
-		}
-	}
-	if len(layerExprs) != len(p.Layers) {
-		t.Fatalf("found %d generated layers, want %d", len(layerExprs), len(p.Layers))
-	}
+			qin := p.QuantizeInput(x, nil)
+			got := make([]int64, p.OutputSize())
+			in.call("Infer_snap", []value{{s: qin}, {s: got}})
 
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 25; trial++ {
-		in := make([]float64, p.InputSize())
-		for i := range in {
-			in[i] = r.Float64()*2 - 1
-		}
-		qin := p.QuantizeInput(in, nil)
-
-		// Interpret the generated source layer by layer.
-		cur := qin
-		for li := 0; li < len(p.Layers); li++ {
-			next := make([]int64, len(layerExprs[li]))
-			for i, e := range layerExprs[li] {
-				next[i] = evalExpr(t, e, cur, p)
-			}
-			cur = next
-		}
-
-		// Run the in-memory program.
-		want := make([]int64, p.OutputSize())
-		p.Infer(qin, want)
-
-		for i := range want {
-			if cur[i] != want[i] {
-				t.Fatalf("trial %d output %d: generated source = %d, program = %d", trial, i, cur[i], want[i])
+			want := make([]int64, p.OutputSize())
+			p.Infer(qin, want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("program %d (%d layers) trial %d output %d: generated source = %d, program = %d",
+						pi, len(p.Layers), trial, i, got[i], want[i])
+				}
 			}
 		}
 	}

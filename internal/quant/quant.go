@@ -1,8 +1,11 @@
 // Package quant implements LiteFlow's high-precision integer quantization
 // (paper §3.1): it converts a float userspace network (package nn) into an
 // integer-only Program — the "NN snapshot" — whose inference uses nothing a
-// kernel fast path cannot: int64 add/mul/div and table lookups. No float
-// operation executes on the inference path.
+// kernel fast path cannot: int64 add/mul/shift, table lookups, and
+// multiply-high by precomputed constants for exact division by each layer's
+// fixed divisors (the lowering a C compiler applies to the generated
+// module's constant divisions). No float operation and no hardware division
+// executes on the inference path.
 //
 // Two ideas from the paper are load-bearing here:
 //
@@ -61,19 +64,23 @@ func DefaultConfig() Config {
 // accumulator.
 type Layer struct {
 	In, Out int
-	W       [][]int64 // [Out][In], scale = weightScale
+	W       [][]int64 // [Out][In], scale = weightScale; row views into w
 	B       []int64   // [Out], scale = inScale·weightScale
 	Act     nn.Activation
 
-	inScale  int64 // scale of this layer's inputs
-	accScale int64 // inScale·weightScale: scale of the accumulator
-	outScale int64 // scale of this layer's outputs
+	w []int64 // all weights, row-major [Out·In]: one block for inference
 
-	// LUT for tanh/sigmoid: maps accumulator values in
-	// [-tblMin, +tblMin]... entries are at outScale.
-	table  []int64
-	tblMin int64 // accumulator value of table[0]
-	tblMax int64 // accumulator value of table[len-1]
+	inScale  int64   // scale of this layer's inputs
+	accScale int64   // inScale·weightScale: scale of the accumulator
+	outScale int64   // scale of this layer's outputs
+	accDiv   divisor // division by accScale (ReLU/Linear rescale)
+
+	// LUT for tanh/sigmoid: maps accumulator values in [tblMin, tblMax]
+	// to activated outputs at outScale.
+	table   []int64
+	tblMin  int64   // accumulator value of table[0]
+	tblMax  int64   // accumulator value of table[len-1]
+	spanDiv divisor // division by tblMax-tblMin; set only when positive
 }
 
 // InScale returns the fixed-point scale of the layer's inputs.
@@ -153,16 +160,19 @@ func Quantize(net *nn.Network, cfg Config) *Program {
 		if li == len(net.Layers)-1 {
 			outScale = cfg.OutputScale
 		}
+		accScale := inScale * cfg.WeightScale
 		l := &Layer{
 			In: fl.In, Out: fl.Out, Act: fl.Act,
 			inScale:  inScale,
-			accScale: inScale * cfg.WeightScale,
+			accScale: accScale,
 			outScale: outScale,
+			accDiv:   newDivisor(accScale),
 		}
+		l.w = make([]int64, fl.Out*fl.In)
 		l.W = make([][]int64, fl.Out)
 		l.B = make([]int64, fl.Out)
 		for i := range fl.W {
-			l.W[i] = make([]int64, fl.In)
+			l.W[i] = l.w[i*fl.In : (i+1)*fl.In : (i+1)*fl.In]
 			for j, w := range fl.W[i] {
 				l.W[i][j] = roundToInt(w * float64(cfg.WeightScale))
 			}
@@ -197,6 +207,10 @@ func buildTable(l *Layer, act nn.Activation, cfg Config) {
 	l.table = make([]int64, cfg.TableSize)
 	l.tblMin = -roundToInt(cfg.TableRange * float64(l.accScale))
 	l.tblMax = roundToInt(cfg.TableRange * float64(l.accScale))
+	if span := l.tblMax - l.tblMin; span > 0 {
+		// Otherwise lookup clamps every input and never divides.
+		l.spanDiv = newDivisor(span)
+	}
 	for i := range l.table {
 		// Pre-activation value represented by entry i, in float.
 		frac := float64(i) / float64(cfg.TableSize-1)
@@ -251,20 +265,58 @@ func (p *Program) InferWith(a *Arena, in, out []int64) {
 func (p *Program) inferInto(a *Arena, in, out []int64) {
 	cur := in
 	for li, l := range p.Layers {
-		dst := a.bufs[li%2][:l.Out]
+		dst := a.bufs[li&1][:l.Out]
 		if li == len(p.Layers)-1 {
 			dst = out
 		}
-		for i := 0; i < l.Out; i++ {
-			acc := l.B[i]
-			w := l.W[i]
-			for j := 0; j < l.In; j++ {
-				acc += w[j] * cur[j]
-			}
-			dst[i] = l.activate(acc)
-		}
+		l.forward(cur, dst)
 		cur = dst
 	}
+}
+
+// forward computes dst = activate(W·x + B): four output rows per pass over
+// x (dot4), a scalar loop for the last Out mod 4 rows, then the activation
+// over the whole row. Integer addition is associative, so every accumulator
+// is exactly the row-at-a-time sum.
+func (l *Layer) forward(x, dst []int64) {
+	n := l.In
+	x = x[:n]
+	b := l.B[:l.Out]
+	dst = dst[:len(b)]
+	w := l.w[:len(b)*n]
+	i := 0
+	for ; i+4 <= len(b); i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = dot4(x, w[i*n:(i+4)*n], b[i], b[i+1], b[i+2], b[i+3])
+	}
+	for ; i < len(b); i++ {
+		wi := w[i*n:][:len(x)]
+		acc := b[i]
+		for j, v := range x {
+			acc += wi[j] * v
+		}
+		dst[i] = acc
+	}
+	l.activate(dst)
+}
+
+// dot4 adds the dot products of x with the four consecutive rows of w
+// (4·len(x) weights) to a0…a3. Each input is loaded once for the four rows,
+// the accumulators stay in registers, and the rows are resliced to len(x)
+// so the loop carries no bounds checks. It is a leaf function so that the
+// register allocator sees only the loop's own values.
+func dot4(x, w []int64, a0, a1, a2, a3 int64) (int64, int64, int64, int64) {
+	n := len(x)
+	w0 := w[:n]
+	w1 := w[n : 2*n][:n]
+	w2 := w[2*n : 3*n][:n]
+	w3 := w[3*n : 4*n][:n]
+	for j, v := range x {
+		a0 += w0[j] * v
+		a1 += w1[j] * v
+		a2 += w2[j] * v
+		a3 += w3[j] * v
+	}
+	return a0, a1, a2, a3
 }
 
 // InferBatch runs n inferences over densely packed rows: in holds n
@@ -287,34 +339,42 @@ func (p *Program) InferBatch(a *Arena, in, out []int64, n int) {
 	}
 }
 
-// activate converts an accumulator value (scale accScale) to the layer's
-// output scale through the activation, using integer arithmetic only.
-func (l *Layer) activate(acc int64) int64 {
+// activate converts accumulator values (scale accScale) in place to the
+// layer's output scale through the activation, using integer arithmetic only.
+func (l *Layer) activate(v []int64) {
 	switch l.Act {
 	case nn.ReLU:
-		if acc < 0 {
-			return 0
+		for i, acc := range v {
+			if acc < 0 {
+				v[i] = 0
+			} else {
+				v[i] = l.rescale(acc)
+			}
 		}
-		return rescale(acc, l.accScale, l.outScale)
 	case nn.Tanh, nn.Sigmoid:
-		return l.lookup(acc)
+		for i, acc := range v {
+			v[i] = l.lookup(acc)
+		}
 	default: // Linear
-		return rescale(acc, l.accScale, l.outScale)
+		for i, acc := range v {
+			v[i] = l.rescale(acc)
+		}
 	}
 }
 
-// rescale converts v from scale `from` to scale `to` with rounding, in
-// integer arithmetic. Callers guarantee |v|·to stays within int64 (enforced
-// by the bounded scales in Config).
-func rescale(v, from, to int64) int64 {
-	if from == to {
+// rescale converts v from accScale to outScale with round-half-away-from-
+// zero, in integer arithmetic: (v·outScale ± accScale/2) / accScale with the
+// division by multiply-high. Callers guarantee |v|·outScale stays within
+// int64 (enforced by the bounded scales in Config).
+func (l *Layer) rescale(v int64) int64 {
+	if l.accScale == l.outScale {
 		return v
 	}
-	n := v * to
+	n, half := v*l.outScale, l.accScale>>1
 	if n >= 0 {
-		return (n + from/2) / from
+		return l.accDiv.quo(n + half)
 	}
-	return (n - from/2) / from
+	return l.accDiv.quo(n - half)
 }
 
 // lookup evaluates the layer's LUT at accumulator value acc with linear
@@ -327,13 +387,13 @@ func (l *Layer) lookup(acc int64) int64 {
 	if acc >= l.tblMax {
 		return l.table[len(l.table)-1]
 	}
-	span := l.tblMax - l.tblMin
+	// idx, rem = num / span, num % span; then (hi-lo)·rem / span.
 	num := (acc - l.tblMin) * int64(len(l.table)-1)
-	idx := num / span
-	rem := num % span
+	idx := l.spanDiv.quo(num)
+	rem := num - idx*l.spanDiv.d
 	lo := l.table[idx]
 	hi := l.table[idx+1]
-	return lo + (hi-lo)*rem/span
+	return lo + l.spanDiv.quo((hi-lo)*rem)
 }
 
 // QuantizeInput converts float inputs to fixed point at InputScale, writing

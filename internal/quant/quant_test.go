@@ -135,7 +135,7 @@ func TestRescaleRounding(t *testing.T) {
 		{7, 7, 7, 7}, // same scale short-circuits
 	}
 	for _, c := range cases {
-		if got := rescale(c.v, c.from, c.to); got != c.want {
+		if got := linearLayer(c.from, c.to).rescale(c.v); got != c.want {
 			t.Errorf("rescale(%d, %d, %d) = %d, want %d", c.v, c.from, c.to, got, c.want)
 		}
 	}
@@ -237,24 +237,31 @@ func TestInferNoAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkInferAuroraSnapshot(b *testing.B) {
-	net := nn.New([]int{30, 32, 16, 1}, []nn.Activation{nn.Tanh, nn.Tanh, nn.Linear}, 1)
-	p := Quantize(net, DefaultConfig())
-	in := make([]int64, 30)
-	out := make([]int64, 1)
+// benchSink keeps the benchmarked inference from being optimized away.
+var benchSink int64
+
+// benchInfer times Infer on the given architecture with the real policies'
+// activations, cycling through seeded random state vectors so accumulators
+// and LUT lookups vary as they do on the query path (all-zero inputs would
+// reduce every accumulator to its bias).
+func benchInfer(b *testing.B, sizes []int) {
+	acts := []nn.Activation{nn.Tanh, nn.Tanh, nn.Tanh}
+	p := Quantize(nn.New(sizes, acts, 1), DefaultConfig())
+	r := rand.New(rand.NewSource(1))
+	const nIn = 256 // power of two: the cycle index is a mask
+	ins := make([][]int64, nIn)
+	for i := range ins {
+		ins[i] = p.QuantizeInput(randomInput(r, sizes[0]), nil)
+	}
+	out := make([]int64, p.OutputSize())
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Infer(in, out)
+		p.Infer(ins[i&(nIn-1)], out)
+		benchSink += out[0]
 	}
 }
 
-func BenchmarkInferMOCCSnapshot(b *testing.B) {
-	net := nn.New([]int{30, 64, 32, 1}, []nn.Activation{nn.Tanh, nn.Tanh, nn.Linear}, 1)
-	p := Quantize(net, DefaultConfig())
-	in := make([]int64, 30)
-	out := make([]int64, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Infer(in, out)
-	}
-}
+func BenchmarkInferAuroraSnapshot(b *testing.B) { benchInfer(b, []int{30, 32, 16, 1}) }
+
+func BenchmarkInferMOCCSnapshot(b *testing.B) { benchInfer(b, []int{30, 64, 32, 1}) }
